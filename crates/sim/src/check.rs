@@ -32,6 +32,10 @@ use std::collections::{HashMap, HashSet};
 /// is tracked on the info tuple: (reply_to, token, src, dest_off, len).
 type BounceKey = (usize, u64, u64, u32, u32);
 
+/// Executed cycles between periodic full audits
+/// ([`crate::system::System::validate_invariants`]).
+pub const AUDIT_EVERY: u64 = 1024;
+
 /// Ledgers for in-flight request/response pairs on the interconnect.
 #[derive(Debug, Default)]
 pub struct Checker {

@@ -124,8 +124,8 @@ pub struct SimOptions {
     /// DESIGN.md, "Observability layer". Ignored (benignly) when the
     /// `trace` feature is off.
     pub trace: Option<String>,
-    /// How the run loop advances simulated time (the fast-forward knob,
-    /// generalised): see [`crate::system::SchedMode`].
+    /// How the run loop advances simulated time: see
+    /// [`crate::system::SchedMode`].
     pub sched: crate::system::SchedMode,
     /// Liveness watchdog window in cycles for bench runs (`None` = no
     /// watchdog; see [`crate::system::System::run_with_watchdog`]).
@@ -202,18 +202,6 @@ impl SimOptionsBuilder {
     /// Select the tick scheduling mode.
     pub fn sched(mut self, mode: crate::system::SchedMode) -> Self {
         self.opts.sched = mode;
-        self
-    }
-
-    /// Legacy on/off form of [`Self::sched`]: `true` =
-    /// [`crate::system::SchedMode::EventDriven`], `false` =
-    /// [`crate::system::SchedMode::TickByTick`].
-    pub fn fast_forward(mut self, on: bool) -> Self {
-        self.opts.sched = if on {
-            crate::system::SchedMode::EventDriven
-        } else {
-            crate::system::SchedMode::TickByTick
-        };
         self
     }
 
@@ -777,7 +765,9 @@ mod tests {
         assert_eq!(o.trace.as_deref(), Some("trace/out"));
         assert_eq!(o.sched, crate::system::SchedMode::Conservative);
         assert_eq!(o.watchdog, Some(10_000));
-        let ff = SimOptions::builder().fast_forward(false).build();
-        assert_eq!(ff.sched, crate::system::SchedMode::TickByTick);
+        let tick = SimOptions::builder()
+            .sched(crate::system::SchedMode::TickByTick)
+            .build();
+        assert_eq!(tick.sched, crate::system::SchedMode::TickByTick);
     }
 }

@@ -76,16 +76,12 @@ impl Ddr5Channel {
         (bank, row, group)
     }
 
-    /// `(bank_ready, is_row_hit)` with one address decode.
+    /// `(bank next_cas, is_row_hit)` with one address decode.
     #[inline]
-    pub(crate) fn probe(&self, now: Cycle, addr: PhysAddr) -> (bool, bool) {
+    pub(crate) fn bank_probe(&self, addr: PhysAddr) -> (Cycle, bool) {
         let (bank, row, _) = self.bank_row(addr);
         let b = &self.banks[bank];
-        (b.next_cas <= now, b.open_row == Some(row))
-    }
-
-    pub(crate) fn refresh_due(&self, now: Cycle) -> bool {
-        self.refresh.due(now)
+        (b.next_cas, b.open_row == Some(row))
     }
 
     pub(crate) fn refresh_next(&self) -> Cycle {
@@ -115,8 +111,8 @@ impl DramModel for Ddr5Channel {
         self.banks[bank].next_cas <= now
     }
 
-    fn bus_ready(&self, now: Cycle) -> bool {
-        self.bus_free <= now + self.cfg.t_cl
+    fn bus_ready_at(&self) -> Cycle {
+        self.bus_free.saturating_sub(self.cfg.t_cl)
     }
 
     fn access(&mut self, now: Cycle, addr: PhysAddr) -> (Cycle, RowOutcome) {

@@ -67,16 +67,12 @@ impl HbmChannel {
         (pc, bank, row)
     }
 
-    /// `(bank_ready, is_row_hit)` with one address decode.
+    /// `(bank next_cas, is_row_hit)` with one address decode.
     #[inline]
-    pub(crate) fn probe(&self, now: Cycle, addr: PhysAddr) -> (bool, bool) {
+    pub(crate) fn bank_probe(&self, addr: PhysAddr) -> (Cycle, bool) {
         let (pc, bank, row) = self.locate(addr);
         let b = &self.pcs[pc].banks[bank];
-        (b.next_cas <= now, b.open_row == Some(row))
-    }
-
-    pub(crate) fn refresh_due(&self, now: Cycle) -> bool {
-        self.refresh.due(now)
+        (b.next_cas, b.open_row == Some(row))
     }
 
     pub(crate) fn refresh_next(&self) -> Cycle {
@@ -108,10 +104,14 @@ impl DramModel for HbmChannel {
         self.pcs[pc].banks[bank].next_cas <= now
     }
 
-    fn bus_ready(&self, now: Cycle) -> bool {
+    fn bus_ready_at(&self) -> Cycle {
         // Some pseudo-channel can take a column command; an access aimed
         // at a busier one simply queues behind it.
-        self.pcs.iter().any(|pc| pc.bus_free <= now + self.cfg.t_cl)
+        self.pcs
+            .iter()
+            .map(|pc| pc.bus_free.saturating_sub(self.cfg.t_cl))
+            .min()
+            .unwrap_or(0)
     }
 
     fn access(&mut self, now: Cycle, addr: PhysAddr) -> (Cycle, RowOutcome) {

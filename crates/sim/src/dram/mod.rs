@@ -76,16 +76,18 @@ pub trait DramModel: std::fmt::Debug + Send {
     /// Whether the addressed bank can start a new access at `now`.
     fn bank_ready(&self, now: Cycle, addr: PhysAddr) -> bool;
 
-    /// Whether the controller may issue another column command at `now`:
-    /// the data bus may be booked up to one CAS latency ahead, so bursts
-    /// pipeline behind in-flight accesses instead of serialising with
-    /// their array latency.
-    fn bus_ready(&self, now: Cycle) -> bool;
+    /// First cycle at which the controller may issue another column
+    /// command: the data bus may be booked up to one CAS latency ahead
+    /// (`bus_free − tCL`), so bursts pipeline behind in-flight accesses
+    /// instead of serialising with their array latency. Pseudo-channelled
+    /// backends report the earliest of their buses. Only `access` and
+    /// `sync` move it.
+    fn bus_ready_at(&self) -> Cycle;
 
     /// Start an access at `now`. Returns the completion cycle (data fully
     /// transferred) and the row outcome.
     ///
-    /// Callers should check [`Self::bank_ready`] and [`Self::bus_ready`]
+    /// Callers should check [`Self::bank_ready`] and [`Self::bus_ready_at`]
     /// first; starting anyway simply queues behind the busy resource.
     fn access(&mut self, now: Cycle, addr: PhysAddr) -> (Cycle, RowOutcome);
 
@@ -124,7 +126,7 @@ pub fn build(cfg: &DramConfig, channels: usize) -> DramBackend {
 /// Enum-dispatched channel backend: one variant per [`MemTech`].
 ///
 /// The memory controller holds this instead of a `Box<dyn DramModel>` so
-/// the per-cycle timing checks (`bank_ready`, `is_row_hit`, `bus_ready`)
+/// the per-cycle timing checks (`bank_ready`, `is_row_hit`, `bus_ready_at`)
 /// that the FR-FCFS scheduler calls in a loop over its pending queues
 /// compile to direct, inlinable calls. The trait is still implemented on
 /// the enum, so code written against `DramModel` keeps working.
@@ -166,12 +168,21 @@ impl DramBackend {
     /// (two divisions) dominates the check itself.
     #[inline]
     pub fn probe(&self, now: Cycle, addr: PhysAddr) -> (bool, bool) {
-        each_backend!(self, d => d.probe(now, addr))
+        let (next_cas, hit) = self.bank_probe(addr);
+        (next_cas <= now, hit)
+    }
+
+    /// `(next_cas, is_row_hit)` for `addr`: [`Self::probe`] with the
+    /// bank's next column-command cycle in place of the readiness bit, so
+    /// a scan that finds no ready bank also learns when one will be.
+    #[inline]
+    pub fn bank_probe(&self, addr: PhysAddr) -> (Cycle, bool) {
+        each_backend!(self, d => d.bank_probe(addr))
     }
 
     #[inline]
-    pub fn bus_ready(&self, now: Cycle) -> bool {
-        each_backend!(self, d => d.bus_ready(now))
+    pub fn bus_ready_at(&self) -> Cycle {
+        each_backend!(self, d => d.bus_ready_at())
     }
 
     #[inline]
@@ -199,19 +210,11 @@ impl DramBackend {
         each_backend!(self, d => d.bank_of(addr))
     }
 
-    /// Whether a refresh window has opened that [`Self::sync`] has not yet
-    /// applied — i.e. whether `sync(now)` would change channel state. Used
-    /// by the event-driven scheduler: an otherwise-idle controller must
-    /// still tick to apply elapsed windows at the same cycle the per-tick
-    /// scheduler would.
-    #[inline]
-    pub fn refresh_due(&self, now: Cycle) -> bool {
-        each_backend!(self, d => d.refresh_due(now))
-    }
-
-    /// First cycle at which [`Self::refresh_due`] will turn true
-    /// ([`Cycle::MAX`] when refresh is disabled) — wake-up hint for the
-    /// event-driven scheduler's cached controller readiness.
+    /// First cycle at which a refresh window opens that [`Self::sync`] has
+    /// not yet applied ([`Cycle::MAX`] when refresh is disabled) — wake-up
+    /// hint for the event-driven scheduler's cached controller readiness:
+    /// an otherwise-idle controller must still tick to apply the window at
+    /// the same cycle the per-tick scheduler would.
     #[inline]
     pub fn refresh_next(&self) -> Cycle {
         each_backend!(self, d => d.refresh_next())
@@ -228,8 +231,8 @@ impl DramModel for DramBackend {
     fn bank_ready(&self, now: Cycle, addr: PhysAddr) -> bool {
         DramBackend::bank_ready(self, now, addr)
     }
-    fn bus_ready(&self, now: Cycle) -> bool {
-        DramBackend::bus_ready(self, now)
+    fn bus_ready_at(&self) -> Cycle {
+        DramBackend::bus_ready_at(self)
     }
     fn access(&mut self, now: Cycle, addr: PhysAddr) -> (Cycle, RowOutcome) {
         DramBackend::access(self, now, addr)
@@ -295,15 +298,10 @@ impl RefreshTimer {
         Some(end)
     }
 
-    /// Whether a window has opened by `now` that has not been popped yet
-    /// (i.e. whether `pop_due(now)` would return `Some`).
-    pub(crate) fn due(&self, now: Cycle) -> bool {
-        self.t_refi != 0 && now >= self.next
-    }
-
     /// Cycle at which the next unapplied window opens — the first `now`
-    /// for which [`Self::due`] turns true ([`Cycle::MAX`] when refresh is
-    /// disabled). Scheduling hint for the event-driven tick loop.
+    /// for which [`Self::pop_due`] returns `Some` ([`Cycle::MAX`] when
+    /// refresh is disabled). Scheduling hint for the event-driven tick
+    /// loop.
     pub(crate) fn next_due(&self) -> Cycle {
         if self.t_refi == 0 {
             Cycle::MAX

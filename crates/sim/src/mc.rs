@@ -111,6 +111,13 @@ pub struct MemCtrl {
     /// (tag, line, data, poisoned).
     engine_fwd: Vec<(u64, PhysAddr, LineData, bool)>,
     draining: bool,
+    /// Earliest cycle at which [`Self::schedule_dram`] could issue from
+    /// the queues as the last tick left them ([`Cycle::MAX`] when both are
+    /// empty): the bus-free cycle, the earliest bank `next_cas`, the next
+    /// cycle after a full issue burst, or the end of a fault stall.
+    issue_wake: Cycle,
+    /// Cycle of the last tick, to detect cycles the scheduler elided.
+    last_tick: Cycle,
     /// Fault-injection state (None ⇔ empty plan ⇒ all hooks are no-ops).
     fault: Option<McFault>,
     /// Human-readable reports of malformed packets this controller dropped
@@ -140,6 +147,8 @@ impl MemCtrl {
             retry_q: VecDeque::new(),
             engine_fwd: Vec::new(),
             draining: false,
+            issue_wake: Cycle::MAX,
+            last_tick: 0,
             fault: None,
             audit: Vec::new(),
             stats: McStats::default(),
@@ -208,43 +217,35 @@ impl MemCtrl {
         hint
     }
 
-    /// Whether ticking this controller at `now` could change any state:
-    /// the event-driven scheduler's per-component readiness check. Input
-    /// deliverability is the caller's side of the predicate (the input
-    /// queue lives in the interconnect), and engine background work is
-    /// covered by [`CopyEngine::needs_tick`]. Pending refresh windows
-    /// count as work so `sync` applies them — and the trace layer stamps
-    /// them — at the same cycle a per-tick scheduler would.
-    pub fn has_pending_work(&self, now: Cycle) -> bool {
-        !self.retry_q.is_empty()
-            || !self.engine_fwd.is_empty()
-            || !self.rpq.is_empty()
-            || !self.wpq.is_empty()
-            || self.inflight.iter().any(|f| f.done <= now)
-            || self.dram.refresh_due(now)
-    }
-
-    /// Cached-readiness form of [`Self::has_pending_work`]: `None` means
-    /// the controller has immediate work and must tick every cycle;
-    /// `Some(wake)` means it has nothing to do before cycle `wake` (the
-    /// earliest in-flight completion or refresh window, [`Cycle::MAX`] if
-    /// neither is pending). Valid until the controller next ticks — all
-    /// controller state mutates only inside [`Self::tick`], and input
-    /// arrival is the caller's side of the predicate.
+    /// The event-driven scheduler's readiness check: `None` means the
+    /// controller has immediate work (engine retries or forwarded engine
+    /// reads) and must tick every cycle; `Some(wake)` means a tick before
+    /// cycle `wake` could change nothing. `wake` is the earliest of the
+    /// in-flight completions, the next refresh window (so `sync` applies
+    /// it, and the trace layer stamps it, at the cycle a per-tick
+    /// scheduler would) and the cycle the DRAM scheduler could next issue
+    /// from the pending queues ([`Cycle::MAX`] if none applies).
+    ///
+    /// Valid until the controller next ticks: all controller state mutates
+    /// only inside [`Self::tick`]. Input deliverability is the caller's
+    /// side of the predicate (the input queue lives in the interconnect),
+    /// and engine background work is covered by
+    /// [`CopyEngine::needs_tick`].
     pub fn readiness(&self) -> Option<Cycle> {
-        if !self.retry_q.is_empty()
-            || !self.engine_fwd.is_empty()
-            || !self.rpq.is_empty()
-            || !self.wpq.is_empty()
-        {
+        if !self.retry_q.is_empty() || !self.engine_fwd.is_empty() {
             return None;
         }
         let wake = self
             .inflight
             .iter()
             .map(|f| f.done)
-            .fold(self.dram.refresh_next(), Cycle::min);
+            .fold(self.dram.refresh_next().min(self.issue_wake), Cycle::min);
         Some(wake)
+    }
+
+    /// Whether an injected fault stall blocks intake and scheduling at `at`.
+    fn stalled(&self, at: Cycle) -> bool {
+        self.fault.as_ref().is_some_and(|f| at < f.stall_until)
     }
 
     /// Current WPQ occupancy as (len, capacity).
@@ -317,6 +318,15 @@ impl MemCtrl {
         mem: &mut SparseMem,
         out: &mut Vec<(Packet, Cycle)>,
     ) {
+        // Every elided cycle would have re-run the drain hysteresis on the
+        // queue lengths the last tick left, unless it sat inside a stall
+        // window (a window that covers the last elided cycle covers them
+        // all, since only a tick can open one). One replay stands for all
+        // of them: the update is idempotent on unchanged lengths.
+        if now > self.last_tick + 1 && !self.stalled(now - 1) {
+            self.update_draining();
+        }
+        self.last_tick = now;
         // Apply elapsed refresh windows before any readiness check.
         self.dram.sync(now);
         #[cfg(feature = "trace")]
@@ -433,13 +443,11 @@ impl MemCtrl {
         // Injected transient stall: the input port (and DRAM scheduler)
         // is paused; the fault hook rolls per accepted packet, so the
         // schedule is identical with and without idle skip-ahead.
-        if let Some(f) = &self.fault {
-            if now < f.stall_until {
-                if !self.retry_q.is_empty() || input.peek(now).is_some() {
-                    self.stats.fault_stall_cycles += 1;
-                }
-                return;
+        if self.stalled(now) {
+            if !self.retry_q.is_empty() || input.peek(now).is_some() {
+                self.stats.fault_stall_cycles += 1;
             }
+            return;
         }
         // Engine-deferred packets first (e.g. MCLAZY waiting for CTT room).
         // They retry without blocking the packets behind them, which is
@@ -499,7 +507,7 @@ impl MemCtrl {
                 Verdict::Pass(pkt) => self.enqueue(now, pkt, out),
             }
             // A stall tripped by this packet pauses intake immediately.
-            if self.fault.as_ref().is_some_and(|f| now < f.stall_until) {
+            if self.stalled(now) {
                 break;
             }
         }
@@ -582,44 +590,71 @@ impl MemCtrl {
         }
     }
 
-    fn schedule_dram(&mut self, now: Cycle, mem: &mut SparseMem) {
-        // Injected transient stall also pauses the DRAM scheduler.
-        if self.fault.as_ref().is_some_and(|f| now < f.stall_until) {
-            return;
-        }
-        // Update drain mode hysteresis.
+    /// Write-drain hysteresis: enter drain mode at the high watermark (or
+    /// when no read is waiting), leave it at the low watermark while reads
+    /// wait, and always leave it with an empty WPQ.
+    fn update_draining(&mut self) {
         let occ = self.wpq.len() as f64 / self.cfg.wpq_cap as f64;
-        if (occ >= self.cfg.wpq_drain_hi || self.rpq.is_empty())
-            && !self.wpq.is_empty() {
-                self.draining = true;
-            }
+        if (occ >= self.cfg.wpq_drain_hi || self.rpq.is_empty()) && !self.wpq.is_empty() {
+            self.draining = true;
+        }
         if occ <= self.cfg.wpq_drain_lo && !self.rpq.is_empty() {
             self.draining = false;
         }
         if self.wpq.is_empty() {
             self.draining = false;
         }
+    }
+
+    /// Issue DRAM commands and record [`Self::issue_wake`]: until that
+    /// cycle no call could issue anything from the current queues.
+    fn schedule_dram(&mut self, now: Cycle, mem: &mut SparseMem) {
+        // Injected transient stall also pauses the DRAM scheduler.
+        if let Some(f) = self.fault.as_ref().filter(|f| now < f.stall_until) {
+            self.issue_wake = f.stall_until;
+            return;
+        }
+        self.update_draining();
+        if self.rpq.is_empty() && self.wpq.is_empty() {
+            self.issue_wake = Cycle::MAX;
+            return;
+        }
 
         // Issue while the channel can accept column commands (the data bus
-        // may be booked ahead; see DramModel::bus_ready), bounded per
+        // may be booked ahead; see DramModel::bus_ready_at), bounded per
         // tick to model the command bus.
         for _ in 0..4 {
-            if !self.dram.bus_ready(now) {
-                break;
+            let bus_at = self.dram.bus_ready_at();
+            if bus_at > now {
+                self.issue_wake = bus_at;
+                return;
             }
-            let did = if self.draining { self.issue_write(now, mem) } else { self.issue_read(now) };
+            // Earliest bank readiness over every entry a failed scan saw.
+            let mut bank_at = Cycle::MAX;
+            let did = if self.draining {
+                self.issue_write(now, mem, &mut bank_at)
+            } else {
+                self.issue_read(now, &mut bank_at)
+            };
             if !did {
                 // Try the other kind opportunistically.
-                let did2 =
-                    if self.draining { self.issue_read(now) } else { self.issue_write(now, mem) };
+                let did2 = if self.draining {
+                    self.issue_read(now, &mut bank_at)
+                } else {
+                    self.issue_write(now, mem, &mut bank_at)
+                };
                 if !did2 {
-                    break;
+                    self.issue_wake = bank_at;
+                    return;
                 }
             }
         }
+        self.issue_wake = now + 1;
     }
 
-    fn issue_read(&mut self, now: Cycle) -> bool {
+    /// Issue the best ready RPQ entry. When none is ready, folds every
+    /// entry's bank `next_cas` into `bank_at` and returns false.
+    fn issue_read(&mut self, now: Cycle, bank_at: &mut Cycle) -> bool {
         // FR-FCFS-lite with demand priority: engine reads (lazy-copy
         // drains) only issue when no demand read is ready, bounding their
         // bandwidth interference (§III-A1 limits outstanding asynchronous
@@ -631,8 +666,9 @@ impl MemCtrl {
         let mut any_ready = None;
         let mut pick = None;
         for (i, e) in self.rpq.iter().enumerate() {
-            let (ready, hit) = self.dram.probe(now, e.addr);
-            if !ready {
+            let (next_cas, hit) = self.dram.bank_probe(e.addr);
+            if next_cas > now {
+                *bank_at = (*bank_at).min(next_cas);
                 continue;
             }
             if matches!(e.origin, ReadOrigin::Llc(_)) {
@@ -699,13 +735,15 @@ impl MemCtrl {
         true
     }
 
-    fn issue_write(&mut self, now: Cycle, mem: &mut SparseMem) -> bool {
+    /// Issue the best ready WPQ entry; like [`Self::issue_read`] on failure.
+    fn issue_write(&mut self, now: Cycle, mem: &mut SparseMem, bank_at: &mut Cycle) -> bool {
         // One pass: first ready row-hit wins, else first ready entry.
         let mut any_ready = None;
         let mut pick = None;
         for (i, e) in self.wpq.iter().enumerate() {
-            let (ready, hit) = self.dram.probe(now, e.addr);
-            if !ready {
+            let (next_cas, hit) = self.dram.bank_probe(e.addr);
+            if next_cas > now {
+                *bank_at = (*bank_at).min(next_cas);
                 continue;
             }
             if hit {
@@ -971,6 +1009,93 @@ mod tests {
         assert!(mc.idle());
         assert_eq!(mc.stats.malformed_packets, 1);
         assert!(mc.audit_reports()[0].contains("unexpected command"), "{:?}", mc.audit_reports());
+    }
+
+    /// Drive `mc` over cycles `from..to`, pushing each `(cycle, packet)`
+    /// of `arrivals` when its cycle comes. With `elide`, tick only on the
+    /// cycles the event-driven scheduler would. Returns every output packet
+    /// as (cycle, id, command).
+    fn drive(
+        mc: &mut MemCtrl,
+        arrivals: &[(Cycle, Packet)],
+        (from, to): (Cycle, Cycle),
+        elide: bool,
+    ) -> Vec<(Cycle, u64, MemCmd)> {
+        let (mut input, mut mem, mut eng) = (DelayQueue::new(0), SparseMem::new(), NullEngine);
+        let mut wake = mc.readiness();
+        let mut seen = Vec::new();
+        for now in from..to {
+            for (_, p) in arrivals.iter().filter(|(at, _)| *at == now) {
+                input.push(now, p.clone());
+            }
+            if elide && wake.is_some_and(|w| w > now) && input.peek(now).is_none() {
+                continue;
+            }
+            let mut out = Vec::new();
+            mc.tick(now, &mut input, &mut eng, &mut mem, &mut out);
+            seen.extend(out.into_iter().map(|(p, _)| (now, p.id, p.cmd)));
+            wake = mc.readiness();
+        }
+        seen
+    }
+
+    #[test]
+    fn elided_cycles_inside_a_stall_replay_no_drain_hysteresis() {
+        // Draining with the WPQ at the low watermark and no read waiting,
+        // a read arrives at cycle 0 and trips a stall until 40. Writes
+        // arriving at 10 wake the elided controller inside the window. No
+        // hysteresis update runs before 40, so at 40 (WPQ now inside the
+        // band) the controller is still draining and issues writes before
+        // the read. Replaying the update at 10 would see the read and the
+        // low WPQ, leave drain mode and serve the read first.
+        let read = Packet::read(PhysAddr(0x40), Node::Mc(0));
+        let setup = || {
+            let (mut mc, mut input, mut mem, mut eng) = mk();
+            mc.set_fault_plan(&FaultPlan {
+                seed: 1,
+                mc_stall_rate: 1.0,
+                mc_stall_cycles: 40,
+                ..FaultPlan::none()
+            });
+            for i in 0..19u64 {
+                mc.wpq.push_back(WpqEntry {
+                    addr: PhysAddr(0x10_0000 + i * 64),
+                    data: LineData::splat(1),
+                    poison: false,
+                    enq: 0,
+                    #[cfg(feature = "trace")]
+                    class: mcs_trace::PacketClass::Write,
+                });
+            }
+            mc.draining = true;
+            input.push(0, read.clone());
+            mc.tick(0, &mut input, &mut eng, &mut mem, &mut Vec::new());
+            // Only the read trips a stall.
+            mc.fault.as_mut().expect("armed").plan.mc_stall_rate = 0.0;
+            mc
+        };
+        let writes: Vec<(Cycle, Packet)> = (0..4u64)
+            .map(|i| {
+                (
+                    10,
+                    Packet::write(
+                        PhysAddr(0x20_0000 + i * 64),
+                        LineData::splat(2),
+                        Node::Mc(0),
+                    ),
+                )
+            })
+            .collect();
+        let (mut full, mut lazy) = (setup(), setup());
+        let want = drive(&mut full, &writes, (1, 600), false);
+        let got = drive(&mut lazy, &writes, (1, 600), true);
+        assert_eq!(want.len(), 1, "one read response");
+        assert!(
+            want[0].0 > 40 + 4 * 4,
+            "the read waits behind the writes: {want:?}"
+        );
+        assert_eq!(got, want);
+        assert_eq!(lazy.stats, full.stats);
     }
 
     #[test]

@@ -5,6 +5,8 @@ use crate::bus::Bus;
 use crate::cache::l1::{L1Out, L1};
 use crate::cache::llc::{Llc, LlcOut};
 use crate::cache::{CoreToL1, L1ToCore, L1ToLlc, LlcToL1};
+#[cfg(feature = "check-invariants")]
+use crate::check::AUDIT_EVERY;
 use crate::config::SystemConfig;
 use crate::core::{Core, CoreOut};
 use crate::data::{LineData, SparseMem};
@@ -305,13 +307,6 @@ impl System {
         &self.cfg
     }
 
-    /// Disable idle skip-ahead (for debugging; results are identical).
-    /// `false` selects [`SchedMode::TickByTick`]; `true` restores the
-    /// default [`SchedMode::EventDriven`].
-    pub fn set_fast_forward(&mut self, on: bool) {
-        self.sched = if on { SchedMode::EventDriven } else { SchedMode::TickByTick };
-    }
-
     /// Select the run-loop scheduler (see [`SchedMode`]). All modes
     /// produce identical architectural results.
     pub fn set_sched_mode(&mut self, mode: SchedMode) {
@@ -397,12 +392,7 @@ impl System {
                 Readiness::Finished => false,
             };
             if !ready && self.l1_to_core[i].peek(now).is_none() {
-                if self.core_ready[i] != Readiness::Finished {
-                    if self.idle_pending[i] == 0 {
-                        self.idle_first[i] = now;
-                    }
-                    self.idle_pending[i] += 1;
-                }
+                self.elide_core(i, now, 1);
                 continue;
             }
             self.flush_idle_core(i);
@@ -568,7 +558,7 @@ impl System {
         #[cfg(feature = "check-invariants")]
         {
             self.checker.ticks += 1;
-            if self.checker.ticks.is_multiple_of(1024) {
+            if self.checker.ticks.is_multiple_of(AUDIT_EVERY) {
                 self.validate_invariants(false);
             }
         }
@@ -577,6 +567,17 @@ impl System {
         self.trace_sample(now);
 
         self.now += 1;
+    }
+
+    /// Batch `k` elided cycles of core `i`, starting at `from`, for idle
+    /// accounting (a finished core's elided cycles are not idle).
+    fn elide_core(&mut self, i: usize, from: Cycle, k: u64) {
+        if self.core_ready[i] != Readiness::Finished {
+            if self.idle_pending[i] == 0 {
+                self.idle_first[i] = from;
+            }
+            self.idle_pending[i] += k;
+        }
     }
 
     /// Replay core `i`'s batched idle accounting (no-op when none).
@@ -710,6 +711,74 @@ impl System {
             && self.mcs.iter().all(|m| m.idle())
             && !self.llc.busy()
             && !self.engine.busy()
+    }
+
+    /// First cycle at or after `now` at which the event-driven scheduler
+    /// would execute any component, read from the cached verdicts and the
+    /// link heads (`Cycle::MAX` when nothing is scheduled). Exact: it
+    /// mirrors `tick_event`'s gates, and nothing those gates read changes
+    /// on a cycle where every gate is closed.
+    fn event_wake(&self) -> Cycle {
+        let now = self.now;
+        if self.llc.has_retries() || (0..self.mcs.len()).any(|i| self.engine.needs_tick(i)) {
+            return now;
+        }
+        let mut wake = Cycle::MAX;
+        for r in self.core_ready.iter().chain(&self.mc_ready) {
+            match *r {
+                Readiness::Active => return now,
+                Readiness::WakeAt(w) => wake = wake.min(w),
+                Readiness::Finished => {}
+            }
+        }
+        let heads = self
+            .core_to_l1
+            .iter()
+            .map(DelayQueue::next_ready)
+            .chain(self.l1_to_core.iter().map(DelayQueue::next_ready))
+            .chain(
+                self.l1_to_llc
+                    .iter()
+                    .chain(&self.l1_to_llc_resp)
+                    .map(DelayQueue::next_ready),
+            )
+            .chain(self.llc_to_l1.iter().map(DelayQueue::next_ready))
+            .chain(std::iter::once(self.bus.to_llc.next_ready()))
+            .chain(self.bus.to_mc.iter().map(DelayQueue::next_ready));
+        for head in heads.flatten() {
+            if head <= now {
+                return now;
+            }
+            wake = wake.min(head);
+        }
+        wake
+    }
+
+    /// Jump the clock to [`Self::event_wake`], at most to `limit`, and
+    /// return the number of cycles jumped. Each jumped cycle is one on
+    /// which `tick_event` would have executed with every component
+    /// elided, so it gets the same core idle accounting. The jump also
+    /// stops at the next periodic audit (check-invariants) and the next
+    /// series sample (trace), so each lands on the cycle it would have.
+    fn jump_idle(&mut self, limit: Cycle) -> Cycle {
+        let to = self.event_wake().min(limit);
+        #[cfg(feature = "check-invariants")]
+        let to = to.min(self.now + AUDIT_EVERY - 1 - self.checker.ticks % AUDIT_EVERY);
+        #[cfg(feature = "trace")]
+        let to = mcs_trace::with_sink(|sink| sink.series.next_at).map_or(to, |next| to.min(next));
+        if to <= self.now {
+            return 0;
+        }
+        let k = to - self.now;
+        for i in 0..self.cores.len() {
+            self.elide_core(i, self.now, k);
+        }
+        #[cfg(feature = "check-invariants")]
+        {
+            self.checker.ticks += k;
+        }
+        self.now = to;
+        k
     }
 
     fn skip_target(&self) -> Option<Cycle> {
@@ -898,6 +967,16 @@ impl System {
                             }
                         }
                         self.now = target.max(self.now);
+                    } else if self.sched == SchedMode::EventDriven {
+                        // Jump over cycles on which every component would
+                        // be elided, stopping short of the run budget and
+                        // of the cycle the watchdog would fire: the jumped
+                        // cycles count as its ticks.
+                        let mut limit = start + max_cycles;
+                        if let Some(window) = watchdog {
+                            limit = limit.min(self.now + window.saturating_sub(idle_ticks + 1));
+                        }
+                        idle_ticks += self.jump_idle(limit);
                     }
                 }
             }
@@ -1299,10 +1378,10 @@ mod tests {
             FixedProgram::new(uops)
         };
         let mut a = System::new(SystemConfig::tiny(), vec![Box::new(mk())]);
-        a.set_fast_forward(false);
+        a.set_sched_mode(SchedMode::TickByTick);
         let sa = a.run(1_000_000).unwrap();
         let mut b = System::new(SystemConfig::tiny(), vec![Box::new(mk())]);
-        b.set_fast_forward(true);
+        b.set_sched_mode(SchedMode::EventDriven);
         let sb = b.run(1_000_000).unwrap();
         assert_eq!(sa.cycles, sb.cycles, "skip-ahead must not change timing");
     }
@@ -1492,10 +1571,10 @@ mod tests {
             System::new(cfg, vec![Box::new(FixedProgram::new(uops))])
         };
         let mut a = mk();
-        a.set_fast_forward(false);
+        a.set_sched_mode(SchedMode::TickByTick);
         let sa = a.run(5_000_000).unwrap();
         let mut b = mk();
-        b.set_fast_forward(true);
+        b.set_sched_mode(SchedMode::EventDriven);
         let sb = b.run(5_000_000).unwrap();
         assert_eq!(sa.cycles, sb.cycles, "skip-ahead must not change the fault schedule");
         let fa: Vec<u64> = sa.mcs.iter().map(|m| m.fault_events()).collect();

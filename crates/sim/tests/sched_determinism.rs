@@ -1,6 +1,6 @@
 //! Scheduler-mode determinism: the event-driven scheduler is an
 //! *elision* of do-nothing cycles, never a reordering. These tests pin
-//! that claim three ways:
+//! that claim in several ways:
 //!
 //! * `EventDriven` vs `Conservative` must agree on the **entire**
 //!   [`RunStats`] (every core, cache, controller, and engine counter)
@@ -13,6 +13,12 @@
 //!   skip are re-attributed on wake, so totals match.
 //! * Both hold under an active fault plan, whose decision streams are
 //!   consumed per *event* and must therefore be schedule-invariant.
+//! * `EventDriven` vs `Conservative` also agree at a small *loaded* point:
+//!   four cores streaming loads and non-temporal stores keep every
+//!   controller's RPQ and WPQ non-empty, the regime where controllers
+//!   sleep between DRAM issues rather than between requests.
+//! * An armed watchdog fires on the same cycle, with the same report, in
+//!   both modes, even inside stretches the event-driven clock jumps.
 
 use mcs_sim::config::{MemTech, SystemConfig};
 use mcs_sim::fault::FaultPlan;
@@ -64,14 +70,49 @@ fn workload(core: usize) -> Vec<Uop> {
     uops
 }
 
+/// A per-core streaming workload that saturates the memory controllers:
+/// independent loads over one buffer interleaved with full-line
+/// non-temporal stores to another, with no fences until the end.
+fn loaded_workload(core: usize) -> Vec<Uop> {
+    let src = 0x100_0000 + (core as u64) * 0x10_0000;
+    let dst = 0x800_0000 + (core as u64) * 0x10_0000;
+    let mut uops = Vec::new();
+    for i in 0..384u64 {
+        let off = i * CACHELINE;
+        uops.push(Uop::new(
+            UopKind::Load {
+                addr: PhysAddr(src + off),
+                size: 8,
+            },
+            StatTag::App,
+        ));
+        uops.push(Uop::new(
+            UopKind::Store {
+                addr: PhysAddr(dst + off),
+                size: CACHELINE as u8,
+                data: StoreData::Imm(vec![core as u8 + 1; CACHELINE as usize]),
+                nontemporal: true,
+            },
+            StatTag::App,
+        ));
+    }
+    uops.push(Uop::new(UopKind::Mfence, StatTag::App));
+    uops
+}
+
 fn run_mode(cfg: &SystemConfig, mode: SchedMode) -> (RunStats, u64) {
+    run_with(cfg, mode, workload)
+}
+
+fn build(cfg: &SystemConfig, work: fn(usize) -> Vec<Uop>) -> System {
     let progs: Vec<Box<dyn mcs_sim::program::Program>> = (0..cfg.cores)
-        .map(|c| {
-            Box::new(FixedProgram::new(workload(c)))
-                as Box<dyn mcs_sim::program::Program>
-        })
+        .map(|c| Box::new(FixedProgram::new(work(c))) as Box<dyn mcs_sim::program::Program>)
         .collect();
-    let mut sys = System::new(cfg.clone(), progs);
+    System::new(cfg.clone(), progs)
+}
+
+fn run_with(cfg: &SystemConfig, mode: SchedMode, work: fn(usize) -> Vec<Uop>) -> (RunStats, u64) {
+    let mut sys = build(cfg, work);
     sys.set_sched_mode(mode);
     let stats = sys.run(20_000_000).expect("workload finishes");
     let now = sys.now();
@@ -130,4 +171,86 @@ fn sched_modes_agree_under_faults() {
         "fault schedules must be elision-invariant: streams are consumed \
          per event, not per cycle"
     );
+}
+
+/// Fraction of (100-cycle sample, controller) pairs of an event-driven
+/// run of the loaded workload in which the controller had both a read and
+/// a write queued.
+fn busy_fraction(cfg: &SystemConfig) -> f64 {
+    let mut sys = build(cfg, loaded_workload);
+    let (mut samples, mut busy) = (0u32, 0u32);
+    while sys.run(100).is_err() {
+        for (rpq, wpq, _, _) in sys.probe_mc() {
+            samples += 1;
+            busy += (rpq > 0 && wpq > 0) as u32;
+        }
+    }
+    busy as f64 / samples.max(1) as f64
+}
+
+#[test]
+fn event_driven_matches_conservative_at_a_loaded_point() {
+    for fault in [FaultPlan::none(), FaultPlan::mild(0x10AD)] {
+        for tech in [MemTech::Ddr4, MemTech::Ddr5, MemTech::Hbm2] {
+            let cfg = SystemConfig::builder()
+                .cores(4)
+                .tech(tech)
+                .refresh(true)
+                .fault(fault.clone())
+                .build();
+            let label = format!("{tech:?} faults={}", !fault.is_empty());
+            let (cons, cons_now) = run_with(&cfg, SchedMode::Conservative, loaded_workload);
+            let (ev, ev_now) = run_with(&cfg, SchedMode::EventDriven, loaded_workload);
+            let mc_writes: u64 = ev.mcs.iter().map(|m| m.writes).sum();
+            assert!(
+                mc_writes >= 4 * 384,
+                "{label}: the NT stores must reach DRAM"
+            );
+            assert!(
+                busy_fraction(&cfg) > 0.5,
+                "{label}: controllers were not kept loaded"
+            );
+            assert_eq!(cons_now, ev_now, "{label}: final clock diverged under load");
+            assert_eq!(cons, ev, "{label}: RunStats diverged under load");
+        }
+    }
+}
+
+/// Independent loads that all map to one DRAM bank in different rows:
+/// once they queue at the controller, each access waits out a row
+/// conflict, leaving progress-free stretches of about a hundred cycles in
+/// which the controller sleeps with work queued.
+fn same_bank_workload(_core: usize) -> Vec<Uop> {
+    (0..24u64)
+        .map(|i| {
+            Uop::new(
+                UopKind::Load {
+                    addr: PhysAddr(0x100_0000 + i * 0x10_0000),
+                    size: 8,
+                },
+                StatTag::App,
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn watchdog_fires_on_the_same_cycle_in_both_modes() {
+    // Windows shorter than a row-conflict stretch: the event-driven clock
+    // jumps over most of such a stretch, and the watchdog must still fire
+    // on the cycle, and with the count, an executed tick would.
+    let cfg = SystemConfig::builder().cores(1).tech(MemTech::Ddr4).build();
+    let run = |mode: SchedMode, window: u64| {
+        let mut sys = build(&cfg, same_bank_workload);
+        sys.set_sched_mode(mode);
+        (sys.run_with_watchdog(20_000_000, window), sys.now())
+    };
+    let mut fired = 0;
+    for window in [40, 70, 100, 130] {
+        let cons = run(SchedMode::Conservative, window);
+        let ev = run(SchedMode::EventDriven, window);
+        fired += cons.0.is_err() as u32;
+        assert_eq!(cons, ev, "window {window}: watchdog outcome diverged");
+    }
+    assert!(fired > 0, "no window made the watchdog fire");
 }
