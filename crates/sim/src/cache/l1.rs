@@ -703,6 +703,48 @@ mod tests {
         assert!(!l1.handle_core(0, &load(9, 9 * 64, 1), &mut out), "5th miss must be rejected");
     }
 
+    /// What a refused request must leave as it was: the statistics, the
+    /// MSHR file and the prefetcher.
+    fn refusal_state(l1: &L1) -> String {
+        let mut mshrs: Vec<String> =
+            l1.mshrs.iter().map(|(line, m)| format!("{line:#x} {m:?}")).collect();
+        mshrs.sort();
+        format!("{:?} {mshrs:?} {:?}", l1.stats, l1.pf)
+    }
+
+    #[test]
+    fn refused_load_and_store_change_nothing() {
+        let mut l1 = L1::new(0, SystemConfig::builder().build().l1);
+        assert_eq!(l1.cfg.mshrs, 24, "Table I L1");
+        assert!(l1.cfg.prefetch, "Table I L1");
+        let mut out = L1Out::default();
+        // A line held Shared: a store to it needs an MSHR for the upgrade.
+        l1.handle_core(0, &load(1, 0x40, 8), &mut out);
+        l1.handle_llc(
+            1,
+            LlcToL1::Data { line: PhysAddr(0x40), data: LineData::ZERO, excl: false, level: ServiceLevel::Llc },
+            &mut out,
+        );
+        // A unit-stride miss stream trains the prefetcher, whose requests
+        // take MSHRs too, until all 24 are busy.
+        let mut i = 0;
+        while l1.mshr_count() < 24 {
+            assert!(l1.handle_core(2, &load(10 + i, 0x10_000 + i * 64, 8), &mut out));
+            i += 1;
+        }
+        let before = refusal_state(&l1);
+        let miss = load(98, 0x80_000, 8);
+        let upgrade = CoreToL1::Store { id: 99, addr: PhysAddr(0x48), data: vec![1], nontemporal: false };
+        let mut out = L1Out::default();
+        for now in 3..6 {
+            assert!(!l1.handle_core(now, &miss, &mut out), "load miss accepted with MSHRs full");
+            assert!(!l1.handle_core(now, &upgrade, &mut out), "upgrade accepted with MSHRs full");
+        }
+        assert!(out.to_core.is_empty() && out.to_llc.is_empty(), "a refusal sent a message");
+        assert_eq!(refusal_state(&l1), before);
+        assert!(!l1.array.peek(PhysAddr(0x40)).expect("still resident").modified);
+    }
+
     #[test]
     fn wb_range_collects_only_dirty_lines() {
         let mut l1 = mk();

@@ -179,14 +179,21 @@ impl Llc {
     }
 
     /// Replay deferred requests (call once per cycle before new input).
-    pub fn begin_cycle(&mut self, now: Cycle, out: &mut LlcOut) {
-        for _ in 0..self.retry.len() {
+    /// Returns whether the queue changed: a replay was accepted, or a
+    /// refused one went behind others. A lone refused replay goes back
+    /// where it was, so `false` means the queue is as it was.
+    pub fn begin_cycle(&mut self, now: Cycle, out: &mut LlcOut) -> bool {
+        let n = self.retry.len();
+        for k in 0..n {
             let Some(msg) = self.retry.pop_front() else { break };
             if !self.handle_l1(now, msg.clone(), out) {
+                // Still blocked: it goes to the back, so a queue of two
+                // or more rotates. Retried next cycle.
                 self.retry.push_back(msg);
-                break; // still blocked; keep order, try next cycle
+                return k > 0 || n > 1;
             }
         }
+        n > 0
     }
 
     /// Handle a message from an L1. Returns `false` if it could not be
@@ -280,29 +287,31 @@ impl Llc {
         out: &mut LlcOut,
     ) -> bool {
         if let Some(l) = self.array.get_mut(line) {
+            let recall = l.owner.filter(|&o| o != core);
+            // Refuse before counting: a refused request is retried every
+            // cycle and must leave no trace until it is accepted.
+            if recall.is_some() && self.mshrs.len() >= self.cfg.mshrs {
+                return false;
+            }
             self.stats.hits += 1;
             if l.prefetched {
                 l.prefetched = false;
                 self.stats.prefetch_hits += 1;
             }
-            if let Some(owner) = l.owner {
-                if owner != core {
-                    if self.mshrs.len() >= self.cfg.mshrs {
-                        return false;
-                    }
-                    out.to_l1.push((owner, LlcToL1::Recall { line, inval: false }, 0));
-                    self.mshrs.insert(
-                        line.0,
-                        Mshr {
-                            txn: Txn::Recall { after: After::GrantS { core } },
-                            queue: VecDeque::new(),
-                        },
-                    );
-                    return true;
-                }
-                // Owner re-requesting S (lost its copy silently): demote.
-                l.owner = None;
+            if let Some(owner) = recall {
+                out.to_l1.push((owner, LlcToL1::Recall { line, inval: false }, 0));
+                self.mshrs.insert(
+                    line.0,
+                    Mshr {
+                        txn: Txn::Recall { after: After::GrantS { core } },
+                        queue: VecDeque::new(),
+                    },
+                );
+                return true;
             }
+            // No owner, or the owner re-requesting S (it lost its copy
+            // silently): demote.
+            l.owner = None;
             l.sharers |= 1 << core;
             let data = l.data;
             out.to_l1.push((
@@ -326,13 +335,20 @@ impl Llc {
 
     fn get_m(&mut self, _now: Cycle, line: PhysAddr, core: usize, out: &mut LlcOut) -> bool {
         if let Some(l) = self.array.get_mut(line) {
+            let others = l.sharers & !(1 << core);
+            // Refuse before counting (see `get_s`): a recall from another
+            // owner or invalidations of other sharers need an MSHR.
+            let needs_mshr = match l.owner {
+                Some(owner) => owner != core,
+                None => others != 0,
+            };
+            if needs_mshr && self.mshrs.len() >= self.cfg.mshrs {
+                return false;
+            }
             self.stats.hits += 1;
             l.prefetched = false;
             if let Some(owner) = l.owner {
                 if owner != core {
-                    if self.mshrs.len() >= self.cfg.mshrs {
-                        return false;
-                    }
                     out.to_l1.push((owner, LlcToL1::Recall { line, inval: true }, 0));
                     self.mshrs.insert(
                         line.0,
@@ -352,11 +368,7 @@ impl Llc {
                 ));
                 return true;
             }
-            let others = l.sharers & !(1 << core);
             if others != 0 {
-                if self.mshrs.len() >= self.cfg.mshrs {
-                    return false;
-                }
                 let mut pending = 0;
                 for c in 0..32 {
                     if others & (1 << c) != 0 {
@@ -813,14 +825,13 @@ impl Llc {
     }
 
     /// MCLAZY snoop support: merge an L1's dirty data and write it back to
-    /// memory (the L1 keeps a clean copy; ownership collapses to shared).
+    /// memory. The owning L1 keeps the line Modified but clean (see
+    /// `L1::snoop_writeback`), so the owner stays recorded, as after a
+    /// CLWB: it may write the line again without asking.
     pub fn snoop_merge_writeback(&mut self, line: PhysAddr, data: LineData, out: &mut LlcOut) {
         if let Some(l) = self.array.peek_mut(line) {
             l.data = data;
             l.dirty = false;
-            if let Some(o) = l.owner.take() {
-                l.sharers |= 1 << o;
-            }
         }
         out.to_bus.push((Packet::write(line, data, self.mc_of(line)), 0));
     }
@@ -985,6 +996,106 @@ mod tests {
             .to_l1
             .iter()
             .any(|(c, m, _)| *c == 1 && matches!(m, LlcToL1::Data { .. })));
+    }
+
+    /// An LLC whose MSHRs are all busy with fills for core 2, plus line
+    /// 0x100 owned by core 0 and line 0x140 shared by cores 0 and 1.
+    /// Returns the fills' read requests, oldest first.
+    fn full_llc() -> (Llc, Vec<Packet>) {
+        let mut llc = mk();
+        let mut out = LlcOut::default();
+        llc.handle_l1(0, L1ToLlc::GetM { line: PhysAddr(0x100), core: 0 }, &mut out);
+        fill(&mut llc, 0x100, LineData::ZERO, &mut out);
+        llc.handle_l1(0, gets(0x140, 0), &mut out);
+        fill(&mut llc, 0x140, LineData::ZERO, &mut out);
+        llc.handle_l1(0, gets(0x140, 1), &mut out);
+        let mut out = LlcOut::default();
+        let mut k = 0;
+        while llc.mshr_count() < llc.cfg.mshrs {
+            assert!(llc.handle_l1(1, gets(0x10_000 + k * 64, 2), &mut out));
+            k += 1;
+        }
+        let reads = out.to_bus.into_iter().map(|(p, _)| p).filter(|p| p.cmd == MemCmd::ReadReq);
+        (llc, reads.collect())
+    }
+
+    #[test]
+    fn refused_requests_count_no_hits() {
+        let cases = [
+            ("GetS to a line owned by another L1", gets(0x100, 1)),
+            ("GetM to a line owned by another L1", L1ToLlc::GetM { line: PhysAddr(0x100), core: 1 }),
+            ("GetM to a line shared by others", L1ToLlc::GetM { line: PhysAddr(0x140), core: 2 }),
+        ];
+        for (what, req) in cases {
+            let (mut llc, reads) = full_llc();
+            let before = llc.stats.clone();
+            let mut out = LlcOut::default();
+            for now in 2..5 {
+                assert!(!llc.handle_l1(now, req.clone(), &mut out), "{what}: accepted with MSHRs full");
+            }
+            assert!(out.to_l1.is_empty() && out.to_bus.is_empty(), "{what}: a refusal sent something");
+            assert_eq!(llc.stats, before, "{what}: a refusal changed the stats");
+            // One fill frees an MSHR: the request is accepted and counts
+            // exactly one hit.
+            llc.handle_pkt(5, reads[0].make_read_resp(LineData::ZERO), &mut out);
+            let mut expected = llc.stats.clone();
+            expected.hits += 1;
+            assert!(llc.handle_l1(6, req, &mut out), "{what}: refused with an MSHR free");
+            assert_eq!(llc.stats, expected, "{what}");
+        }
+    }
+
+    #[test]
+    fn refused_lone_replay_leaves_retry_as_it_was() {
+        let (mut llc, reads) = full_llc();
+        let mut out = LlcOut::default();
+        // GetMs queue behind the fill of line 0x10000 and are replayed once
+        // it lands; the line is then shared by core 2, so each needs an
+        // MSHR for the invalidation.
+        let line = reads[0].addr;
+        let getm = |core| L1ToLlc::GetM { line, core };
+        assert!(llc.handle_l1(2, getm(3), &mut out));
+        llc.handle_pkt(3, reads[0].make_read_resp(LineData::ZERO), &mut out);
+        assert!(llc.handle_l1(3, gets(0x20_000, 2), &mut out), "refills the freed MSHR");
+        assert_eq!(llc.retry.len(), 1);
+
+        let before = (format!("{:?}", llc.retry), llc.stats.clone());
+        let mut out = LlcOut::default();
+        for now in 4..7 {
+            assert!(!llc.begin_cycle(now, &mut out), "a lone refused replay changes nothing");
+        }
+        assert!(out.to_l1.is_empty() && out.to_bus.is_empty());
+        assert_eq!((format!("{:?}", llc.retry), llc.stats.clone()), before);
+
+        // Two refused replays: the first goes behind the second.
+        llc.retry.push_back(getm(4));
+        assert!(llc.begin_cycle(7, &mut out), "a refused replay of two rotates the queue");
+        assert!(matches!(llc.retry.front(), Some(L1ToLlc::GetM { core: 4, .. })));
+        assert!(matches!(llc.retry.back(), Some(L1ToLlc::GetM { core: 3, .. })));
+    }
+
+    #[test]
+    fn snoop_merge_keeps_the_owner() {
+        // The MCLAZY snoop writes an owner's dirty line back, but the L1
+        // keeps it Modified and may write it again without asking: a
+        // later reader must still recall it, not read the LLC's copy.
+        let mut llc = mk();
+        let mut out = LlcOut::default();
+        llc.handle_l1(0, L1ToLlc::GetM { line: PhysAddr(0x100), core: 0 }, &mut out);
+        fill(&mut llc, 0x100, LineData::ZERO, &mut out);
+        let mut out = LlcOut::default();
+        llc.snoop_merge_writeback(PhysAddr(0x100), LineData::splat(7), &mut out);
+        assert!(out
+            .to_bus
+            .iter()
+            .any(|(p, _)| p.cmd == MemCmd::WriteReq && p.data == Some(LineData::splat(7))));
+        let mut out = LlcOut::default();
+        llc.handle_l1(1, gets(0x100, 1), &mut out);
+        assert!(
+            matches!(&out.to_l1[..], [(0, LlcToL1::Recall { inval: false, .. }, _)]),
+            "{:?}",
+            out.to_l1
+        );
     }
 
     #[test]

@@ -168,6 +168,17 @@ pub struct System {
     /// background work is probed fresh each cycle via `needs_tick`, since
     /// engine state is shared across controllers.
     mc_ready: Vec<Readiness>,
+    /// L1 `i` refused its core-inbox head at its last execution (MSHRs
+    /// full). A refusal changes nothing, and what decides it changes only
+    /// in `handle_llc` or the MCLAZY snoop, so the L1 sleeps until a
+    /// message arrives on `llc_to_l1[i]` or a snoop clears the mark.
+    l1_blocked: Vec<bool>,
+    /// The LLC's last execution made no progress and refused the head of
+    /// request inbox `i`. Such a phase changes nothing, and only a
+    /// response, a fill or an accepted request can change its outcome.
+    llc_in_blocked: Vec<bool>,
+    /// Likewise for a refused single-entry retry queue.
+    llc_retry_blocked: bool,
     /// Per-phase output buffers, reused across cycles so the hot loop
     /// allocates nothing once capacities have warmed up.
     scratch_core: CoreOut,
@@ -264,6 +275,9 @@ impl System {
             idle_first: vec![0; n],
             core_ready: vec![Readiness::Active; n],
             mc_ready: vec![Readiness::Active; cfg.channels],
+            l1_blocked: vec![false; n],
+            llc_in_blocked: vec![false; n],
+            llc_retry_blocked: false,
             scratch_core: CoreOut::default(),
             scratch_l1: L1Out::default(),
             scratch_llc: LlcOut::default(),
@@ -407,18 +421,26 @@ impl System {
             };
         }
 
-        // 2. L1s are purely message-driven: no input, no work.
+        // 2. L1s are purely message-driven: no input, no work. A blocked
+        //    L1 waits for the LLC, whatever its core sends.
         for i in 0..self.l1s.len() {
-            if self.llc_to_l1[i].peek(now).is_some() || self.core_to_l1[i].peek(now).is_some() {
+            if self.llc_to_l1[i].peek(now).is_some()
+                || (!self.l1_blocked[i] && self.core_to_l1[i].peek(now).is_some())
+            {
                 self.phase_l1(now, i);
             }
         }
 
-        // 3. LLC: deferred replays or any deliverable input.
-        if self.llc.has_retries()
+        // 3. LLC: responses, fills, unblocked deferred replays, or a
+        //    deliverable head on an unblocked request inbox.
+        if (self.llc.has_retries() && !self.llc_retry_blocked)
             || self.bus.to_llc.peek(now).is_some()
-            || self.l1_to_llc.iter().any(|q| q.peek(now).is_some())
             || self.l1_to_llc_resp.iter().any(|q| q.peek(now).is_some())
+            || self
+                .l1_to_llc
+                .iter()
+                .zip(&self.llc_in_blocked)
+                .any(|(q, &blocked)| !blocked && q.peek(now).is_some())
         {
             self.phase_llc(now);
         }
@@ -463,18 +485,20 @@ impl System {
     }
 
     /// Phase 2 for L1 `i`: consume LLC messages, then core requests (with
-    /// flow control), producing core responses and LLC requests.
+    /// flow control), producing core responses and LLC requests. Marks
+    /// the L1 blocked when it refuses its core-inbox head.
     fn phase_l1(&mut self, now: Cycle, i: usize) {
         let mut out = std::mem::take(&mut self.scratch_l1);
         while let Some(msg) = self.llc_to_l1[i].pop(now) {
             self.l1s[i].handle_llc(now, msg, &mut out);
         }
+        self.l1_blocked[i] = false;
         for _ in 0..8 {
             let Some(msg) = self.core_to_l1[i].peek(now) else { break };
-            let msg = msg.clone();
-            if self.l1s[i].handle_core(now, &msg, &mut out) {
+            if self.l1s[i].handle_core(now, msg, &mut out) {
                 let _ = self.core_to_l1[i].pop(now);
             } else {
+                self.l1_blocked[i] = true;
                 break;
             }
         }
@@ -495,18 +519,23 @@ impl System {
     }
 
     /// Phase 3: LLC replays deferred work, consumes L1 requests (performing
-    /// the MCLAZY snoop where needed), consumes memory responses.
+    /// the MCLAZY snoop where needed), consumes memory responses. A phase
+    /// that makes no progress marks its refused inboxes and a refused
+    /// single-entry retry queue blocked.
     fn phase_llc(&mut self, now: Cycle) {
         let mut out = std::mem::take(&mut self.scratch_llc);
         // Responses first: they are always accepted and unblock MSHRs.
+        let mut progress = false;
         for i in 0..self.l1_to_llc_resp.len() {
             while let Some(msg) = self.l1_to_llc_resp[i].pop(now) {
                 let accepted = self.llc.handle_l1(now, msg, &mut out);
                 debug_assert!(accepted, "responses are always accepted");
+                progress = true;
             }
         }
-        self.llc.begin_cycle(now, &mut out);
+        progress |= self.llc.begin_cycle(now, &mut out);
         for i in 0..self.l1_to_llc.len() {
+            self.llc_in_blocked[i] = false;
             for _ in 0..8 {
                 let Some(msg) = self.l1_to_llc[i].peek(now) else { break };
                 if let L1ToLlc::Mclazy { desc, .. } = msg {
@@ -516,17 +545,30 @@ impl System {
                         .iter()
                         .collect();
                     Self::snoop_mclazy(&mut self.l1s, &mut self.llc, &queues, desc, &mut out);
+                    // The snoop mutates every L1: let blocked ones re-check.
+                    self.l1_blocked.fill(false);
                 }
                 let msg = self.l1_to_llc[i].peek(now).expect("still there").clone();
                 if self.llc.handle_l1(now, msg, &mut out) {
                     let _ = self.l1_to_llc[i].pop(now);
+                    progress = true;
                 } else {
+                    self.llc_in_blocked[i] = true;
                     break;
                 }
             }
         }
         while let Some(pkt) = self.bus.to_llc.pop(now) {
             self.llc.handle_pkt(now, pkt, &mut out);
+            progress = true;
+        }
+        // Output is progress too: a request refused while it recalls the
+        // owner of an eviction victim has still changed the LLC.
+        if progress || !out.to_l1.is_empty() || !out.to_bus.is_empty() {
+            self.llc_in_blocked.fill(false);
+            self.llc_retry_blocked = false;
+        } else {
+            self.llc_retry_blocked = self.llc.has_retries();
         }
         for (l1, m, extra) in out.to_l1.drain(..) {
             self.llc_to_l1[l1].push_after(now, extra, m);
@@ -602,6 +644,9 @@ impl System {
     fn reset_readiness(&mut self) {
         self.core_ready.fill(Readiness::Active);
         self.mc_ready.fill(Readiness::Active);
+        self.l1_blocked.fill(false);
+        self.llc_in_blocked.fill(false);
+        self.llc_retry_blocked = false;
     }
 
     /// Push one interval sample per memory controller into the armed
@@ -720,7 +765,9 @@ impl System {
     /// on a cycle where every gate is closed.
     fn event_wake(&self) -> Cycle {
         let now = self.now;
-        if self.llc.has_retries() || (0..self.mcs.len()).any(|i| self.engine.needs_tick(i)) {
+        if (self.llc.has_retries() && !self.llc_retry_blocked)
+            || (0..self.mcs.len()).any(|i| self.engine.needs_tick(i))
+        {
             return now;
         }
         let mut wake = Cycle::MAX;
@@ -731,17 +778,20 @@ impl System {
                 Readiness::Finished => {}
             }
         }
+        // A blocked inbox's head is deliverable but opens no gate.
         let heads = self
             .core_to_l1
             .iter()
-            .map(DelayQueue::next_ready)
+            .zip(&self.l1_blocked)
+            .map(|(q, &blocked)| q.next_ready().filter(|_| !blocked))
             .chain(self.l1_to_core.iter().map(DelayQueue::next_ready))
             .chain(
                 self.l1_to_llc
                     .iter()
-                    .chain(&self.l1_to_llc_resp)
-                    .map(DelayQueue::next_ready),
+                    .zip(&self.llc_in_blocked)
+                    .map(|(q, &blocked)| q.next_ready().filter(|_| !blocked)),
             )
+            .chain(self.l1_to_llc_resp.iter().map(DelayQueue::next_ready))
             .chain(self.llc_to_l1.iter().map(DelayQueue::next_ready))
             .chain(std::iter::once(self.bus.to_llc.next_ready()))
             .chain(self.bus.to_mc.iter().map(DelayQueue::next_ready));

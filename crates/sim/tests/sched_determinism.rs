@@ -19,6 +19,9 @@
 //!   sleep between DRAM issues rather than between requests.
 //! * An armed watchdog fires on the same cycle, with the same report, in
 //!   both modes, even inside stretches the event-driven clock jumps.
+//! * `EventDriven` vs `Conservative` also agree when eight cores overrun
+//!   every L1's MSHRs and the LLC's, the regime where refusing caches
+//!   sleep, with an MCLAZY snoop landing mid-run.
 
 use mcs_sim::config::{MemTech, SystemConfig};
 use mcs_sim::fault::FaultPlan;
@@ -253,4 +256,84 @@ fn watchdog_fires_on_the_same_cycle_in_both_modes() {
         assert_eq!(cons, ev, "window {window}: watchdog outcome diverged");
     }
     assert!(fired > 0, "no window made the watchdog fire");
+}
+
+/// Lines per core region in [`contended_workload`].
+const CONTENDED_LINES: u64 = 128;
+
+/// A per-core workload that overruns both cache levels: misses on
+/// distinct lines, in bit-reversed order so the stride prefetchers never
+/// train, with no fence until the end. Odd cores store (RFOs from a
+/// 56-entry store buffer), even cores load (32-entry load queue). Each
+/// core walks its own region and a region all eight share; even cores
+/// also read their odd neighbour's. Shared lines need recalls and
+/// invalidations, and requests pile up behind their MSHRs, so the LLC
+/// replays several at once. Each core keeps more misses in flight than
+/// its L1 has MSHRs (24), and eight cores more than the LLC has (48).
+/// Core 0 issues an MCLAZY halfway: its snoop writes back core 1's dirty
+/// lines and invalidates lines only core 2 reads.
+fn contended_workload(core: usize) -> Vec<Uop> {
+    let region = |c: usize| 0x400_0000 + c as u64 * 0x10_0000;
+    let shared = region(8);
+    let bits = CONTENDED_LINES.trailing_zeros();
+    let mut uops = Vec::new();
+    for i in 0..CONTENDED_LINES {
+        if core == 0 && i == CONTENDED_LINES / 2 {
+            uops.push(Uop::new(
+                UopKind::Mclazy { dst: PhysAddr(region(2)), src: PhysAddr(region(1)), size: 4096 },
+                StatTag::Memcpy,
+            ));
+        }
+        let off = (i.reverse_bits() >> (64 - bits)) * CACHELINE;
+        let reader = core.is_multiple_of(2);
+        let mut lines = vec![region(core) + off, shared + off];
+        if reader {
+            lines.push(region(core + 1) + off);
+        }
+        for addr in lines.into_iter().map(PhysAddr) {
+            uops.push(Uop::new(
+                if reader {
+                    UopKind::Load { addr, size: 8 }
+                } else {
+                    UopKind::Store {
+                        addr,
+                        size: 8,
+                        data: StoreData::Imm(vec![core as u8; 8]),
+                        nontemporal: false,
+                    }
+                },
+                StatTag::App,
+            ));
+        }
+    }
+    uops.push(Uop::new(UopKind::Mfence, StatTag::App));
+    uops
+}
+
+#[test]
+fn event_driven_matches_conservative_with_caches_refusing() {
+    let cfg = SystemConfig::builder().cores(8).tech(MemTech::Ddr4).build();
+    assert_eq!((cfg.l1.mshrs, cfg.llc.mshrs), (24, 48), "Table I MSHR files");
+
+    // Every L1 and the LLC fill their MSHR files, so they refuse the
+    // next miss.
+    let mut sys = build(&cfg, contended_workload);
+    let (mut l1_peak, mut llc_peak) = (vec![0; cfg.cores], 0);
+    while sys.run(50).is_err() {
+        assert!(sys.now() < 20_000_000, "contended workload did not finish");
+        let (_, _, _, l1s, llc) = sys.probe();
+        for (peak, n) in l1_peak.iter_mut().zip(l1s) {
+            *peak = n.max(*peak);
+        }
+        llc_peak = llc.max(llc_peak);
+    }
+    assert_eq!(l1_peak, vec![cfg.l1.mshrs; cfg.cores], "an L1 never filled its MSHRs");
+    assert_eq!(llc_peak, cfg.llc.mshrs, "the LLC never filled its MSHRs");
+
+    let (cons, cons_now) = run_with(&cfg, SchedMode::Conservative, contended_workload);
+    let (ev, ev_now) = run_with(&cfg, SchedMode::EventDriven, contended_workload);
+    let uops: usize = (0..cfg.cores).map(|c| contended_workload(c).len()).sum();
+    assert_eq!(cons.cores.iter().map(|c| c.retired).sum::<u64>(), uops as u64);
+    assert_eq!(cons_now, ev_now, "final clock diverged with caches refusing");
+    assert_eq!(cons, ev, "RunStats diverged with caches refusing");
 }
