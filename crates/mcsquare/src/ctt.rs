@@ -93,13 +93,9 @@ pub struct CttStats {
 /// The Copy Tracking Table.
 #[derive(Debug, Clone)]
 pub struct Ctt {
+    /// Destination ranges, in [`MAX_ENTRY_SIZE`] rows.
     map: RangeMap<SrcBase>,
     capacity: usize,
-    /// Memoized [`Ctt::hw_entries`] — the drain policy and the event-driven
-    /// scheduler's `needs_tick` probe read occupancy every cycle, while the
-    /// table itself changes only on copy/free/write traffic. Invalidated by
-    /// every `map` mutation.
-    hw_cache: std::cell::Cell<Option<usize>>,
     /// Statistics.
     pub stats: CttStats,
 }
@@ -107,12 +103,7 @@ pub struct Ctt {
 impl Ctt {
     /// Create a table with room for `capacity` entries (segments).
     pub fn new(capacity: usize) -> Ctt {
-        Ctt {
-            map: RangeMap::new(),
-            capacity,
-            hw_cache: std::cell::Cell::new(None),
-            stats: CttStats::default(),
-        }
+        Ctt { map: RangeMap::with_row_bytes(MAX_ENTRY_SIZE), capacity, stats: CttStats::default() }
     }
 
     /// Number of live entries (segments).
@@ -143,14 +134,10 @@ impl Ctt {
     /// Number of hardware table rows the live segments occupy. The 21-bit
     /// size field caps one row at [`MAX_ENTRY_SIZE`] (2 MB), so a merged
     /// segment wider than that is stored as several back-to-back rows:
-    /// `ceil(len / MAX_ENTRY_SIZE)` per segment.
+    /// `ceil(len / MAX_ENTRY_SIZE)` per segment. O(1): the map keeps the
+    /// count as a running total.
     pub fn hw_entries(&self) -> usize {
-        if let Some(n) = self.hw_cache.get() {
-            return n;
-        }
-        let n = self.map.iter().map(|(r, _)| hw_rows(r.len())).sum();
-        self.hw_cache.set(Some(n));
-        n
+        self.map.rows()
     }
 
     /// Insert a prospective copy `size` bytes from `src` to `dst`.
@@ -212,7 +199,6 @@ impl Ctt {
         for (r, src_base) in pieces {
             self.map.insert(r, SrcBase(src_base));
         }
-        self.hw_cache.set(None);
         self.stats.inserts += 1;
         self.stats.peak_segments = self.stats.peak_segments.max(self.len() as u64);
         Ok(())
@@ -241,7 +227,6 @@ impl Ctt {
         let r = ByteRange::sized(addr.0, len);
         let before = self.map.covered_bytes();
         self.map.remove(r);
-        self.hw_cache.set(None);
         self.stats.bytes_untracked_by_write += before - self.map.covered_bytes();
     }
 
@@ -290,7 +275,6 @@ impl Ctt {
         for v in &victims {
             self.map.remove(*v);
         }
-        self.hw_cache.set(None);
         self.stats.freed_entries += victims.len() as u64;
         victims.len()
     }
@@ -486,6 +470,55 @@ mod tests {
         // Excluding it picks the next.
         let (r2, _) = c.smallest_entry(|_| true, &[r]).unwrap();
         assert_eq!(r2.len(), 256);
+    }
+
+    /// Hardware rows and tracked bytes recomputed from the live entries.
+    fn recount(c: &Ctt) -> (usize, u64) {
+        c.iter().fold((0, 0), |(rows, bytes), (r, _)| (rows + hw_rows(r.len()), bytes + r.len()))
+    }
+
+    #[test]
+    fn running_totals_match_recount() {
+        const MB: u64 = 1 << 20;
+        let mut c = Ctt::new(64);
+        let check = |c: &Ctt| {
+            assert_eq!((c.hw_entries(), c.tracked_bytes()), recount(c));
+            c.check_invariants().unwrap();
+        };
+        // A 3 MB copy takes two rows; its contiguous 2 MB extension merges
+        // into one 5 MB segment of three rows.
+        c.try_insert(pa(0x1000_0000), pa(0x4000_0000), 3 * MB).unwrap();
+        check(&c);
+        assert_eq!(c.hw_entries(), 2);
+        c.try_insert(pa(0x1000_0000 + 3 * MB), pa(0x4000_0000 + 3 * MB), 2 * MB).unwrap();
+        check(&c);
+        assert_eq!((c.len(), c.hw_entries()), (1, 3));
+        // Small entries, one trimming another's destination.
+        c.try_insert(pa(0x1000), pa(0x8000), 256).unwrap();
+        c.try_insert(pa(0x3000), pa(0x9000), 128).unwrap();
+        c.try_insert(pa(0x1040), pa(0xa000), 64).unwrap();
+        check(&c);
+        // Destination writes: split the wide segment, clip a small one,
+        // and miss everything. Each counts exactly the bytes it untracked.
+        for (addr, len) in [(0x1000_0000 + MB, 64), (0x1000, 128), (0x7000, 64)] {
+            let (_, before) = recount(&c);
+            let counted = c.stats.bytes_untracked_by_write;
+            c.remove_dst(pa(addr), len);
+            check(&c);
+            assert_eq!(c.stats.bytes_untracked_by_write - counted, before - recount(&c).1);
+        }
+        assert_eq!(c.hw_entries(), 1 + 2 + 1 + 1, "1 MB and 4 MB halves, 0x1080, 0x3000");
+        // MCFREE drops only fully contained entries, and counts no bytes
+        // as untracked by a write.
+        let untracked = c.stats.bytes_untracked_by_write;
+        assert_eq!(c.free_contained(pa(0x1000_0000), MB), 1);
+        check(&c);
+        assert_eq!(c.free_contained(pa(0), 0x1_0000), 2);
+        check(&c);
+        assert_eq!(c.free_contained(pa(0x1000_0000), 8 * MB), 1);
+        check(&c);
+        assert_eq!((c.hw_entries(), c.tracked_bytes(), c.occupancy()), (0, 0, 0.0));
+        assert_eq!(c.stats.bytes_untracked_by_write, untracked);
     }
 
     #[test]

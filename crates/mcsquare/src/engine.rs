@@ -147,6 +147,14 @@ pub struct McSquareEngine {
     tags: HashMap<u64, TagKind>,
     next_tag: u64,
     drains: Vec<Vec<DrainJob>>,
+    /// Bumped whenever engine state may have changed: on every
+    /// `on_arrive` and `on_dram_read`, and on every `tick` that made
+    /// progress.
+    stamp: u64,
+    /// `quiet[mcid] == stamp`: controller `mcid`'s last tick made no
+    /// progress and nothing has changed since, so its next tick would be
+    /// the same no-op (see [`McSquareEngine::needs_tick`]).
+    quiet: Vec<u64>,
     n: Counters,
     /// Injected engine faults (`None` ⇔ empty plan: zero-cost hooks).
     fault: Option<EngineFault>,
@@ -157,7 +165,8 @@ pub struct McSquareEngine {
     #[cfg(feature = "trace")]
     now: Cycle,
     /// BPQ entries `(mcid, line)` that were releasable at the previous
-    /// `validate` call. `bpq_release_tick` runs every cycle, so an entry
+    /// `validate` call. A controller's `bpq_release_tick` runs on the
+    /// first executed cycle after any change to engine state, so an entry
     /// still releasable a full validation period later is stuck.
     #[cfg(feature = "check-invariants")]
     releasable_memo: std::collections::HashSet<(usize, u64)>,
@@ -170,6 +179,8 @@ impl McSquareEngine {
             ctt: Ctt::new(cfg.ctt_entries),
             bpqs: (0..channels).map(|_| Bpq::new(cfg.bpq_entries)).collect(),
             drains: (0..channels).map(|_| Vec::new()).collect(),
+            stamp: 1,
+            quiet: vec![0; channels],
             recons: HashMap::new(),
             pins: HashMap::new(),
             arming: HashMap::new(),
@@ -715,7 +726,10 @@ impl McSquareEngine {
         }
     }
 
-    fn drain_tick(&mut self, mcid: usize, io: &mut EngineIo) {
+    /// Launch, advance and retire controller `mcid`'s drain jobs. Returns
+    /// whether anything changed: a job launched, advanced or retired, or
+    /// a reconstruction started.
+    fn drain_tick(&mut self, mcid: usize, io: &mut EngineIo) -> bool {
         /// Lines one drain job keeps in flight. Kept small so the total
         /// outstanding asynchronous copies per controller is governed by
         /// `parallel_free` and never swamps the read queue — the paper
@@ -723,6 +737,7 @@ impl McSquareEngine {
         /// controller, restricting the memory bandwidth interference"
         /// (§V-C).
         const DRAIN_WINDOW: usize = 2;
+        let mut progress = false;
         // Launch new jobs while above the threshold (§III-A1: start lazy
         // copying at 50% occupancy, smallest entries first, bounded
         // parallelism per controller).
@@ -745,6 +760,7 @@ impl McSquareEngine {
                 // drain walks whole destination lines.
                 let cursor = PhysAddr(range.start).line_base().0;
                 self.drains[mcid].push(DrainJob { range, cursor });
+                progress = true;
             }
         }
         let mut j = 0;
@@ -759,6 +775,7 @@ impl McSquareEngine {
                 if !self.ctt.covers_dst(line, CACHELINE) && !self.recons.contains_key(&line.0)
                 {
                     self.drains[mcid][j].cursor = line.0 + CACHELINE;
+                    progress = true;
                 } else {
                     break;
                 }
@@ -770,6 +787,7 @@ impl McSquareEngine {
             if cur >= end {
                 self.drains[mcid].remove(j);
                 self.n.drained_entries += 1;
+                progress = true;
                 continue;
             }
             // Keep up to DRAIN_WINDOW line copies in flight for this job.
@@ -782,17 +800,20 @@ impl McSquareEngine {
                 } else if self.ctt.covers_dst(l, CACHELINE) {
                     self.start_recon(mcid, l, ReconCause::Drain, None, io);
                     inflight += 1;
+                    progress = true;
                 }
                 line += CACHELINE;
             }
             j += 1;
         }
-
+        progress
     }
 
-    fn bpq_release_tick(&mut self, mcid: usize, io: &mut EngineIo) {
+    /// Release controller `mcid`'s BPQ lines that no copy depends on any
+    /// more. Returns whether any line was released.
+    fn bpq_release_tick(&mut self, mcid: usize, io: &mut EngineIo) -> bool {
         if self.bpqs[mcid].is_empty() {
-            return;
+            return false;
         }
         let ctt = &self.ctt;
         let pins = &self.pins;
@@ -807,9 +828,11 @@ impl McSquareEngine {
                 at: self.now,
             });
         }
+        let progress = !ready.is_empty();
         for e in ready {
             io.dram_write(e.line, e.data);
         }
+        progress
     }
 }
 
@@ -819,6 +842,7 @@ impl CopyEngine for McSquareEngine {
         {
             self.now = _now;
         }
+        self.stamp += 1;
         match pkt.cmd {
             MemCmd::Mclazy(desc) => self.on_mclazy(mcid, pkt.clone(), desc, io),
             MemCmd::Mcfree(FreeDesc { addr, size }) => {
@@ -862,6 +886,7 @@ impl CopyEngine for McSquareEngine {
         {
             self.now = _now;
         }
+        self.stamp += 1;
         match self.tags.remove(&tag).expect("unknown engine tag") {
             TagKind::Frag { dest_line, dest_off, len, src_off } => {
                 let bytes = data.read(src_off as usize, len as usize).to_vec();
@@ -893,17 +918,28 @@ impl CopyEngine for McSquareEngine {
         {
             self.now = _now;
         }
-        self.bpq_release_tick(mcid, io);
-        self.drain_tick(mcid, io);
+        let released = self.bpq_release_tick(mcid, io);
+        let drained = self.drain_tick(mcid, io);
+        if released || drained {
+            self.stamp += 1;
+        } else {
+            self.quiet[mcid] = self.stamp;
+        }
     }
 
+    /// Exact: `tick` is a deterministic function of the CTT, `recons`,
+    /// `pins`, `drains` and the BPQs, which change only in `on_arrive`,
+    /// `on_dram_read` and a `tick` that made progress. Each of those bumps
+    /// `stamp`, so a controller whose last tick made no progress (`quiet`)
+    /// would repeat that no-op until the stamp moves.
     fn needs_tick(&self, mcid: usize) -> bool {
-        // Mirrors what tick() would do for this controller: release BPQ
-        // entries, advance in-flight drain jobs, or launch new ones when
-        // CTT occupancy is at the drain threshold.
-        !self.bpqs[mcid].is_empty()
-            || !self.drains[mcid].is_empty()
-            || self.ctt.occupancy() >= self.cfg.drain_threshold
+        // Otherwise mirrors what tick() could do for this controller:
+        // release BPQ entries, advance in-flight drain jobs, or launch new
+        // ones when CTT occupancy is at the drain threshold.
+        self.quiet[mcid] != self.stamp
+            && (!self.bpqs[mcid].is_empty()
+                || !self.drains[mcid].is_empty()
+                || self.ctt.occupancy() >= self.cfg.drain_threshold)
     }
 
     fn busy(&self) -> bool {
@@ -1041,10 +1077,12 @@ impl CopyEngine for McSquareEngine {
             }
         }
 
-        // BPQ forward progress: `bpq_release_tick` runs every cycle, so an
-        // entry whose release condition held at the previous audit and
-        // still holds now was skipped — a stuck entry (it would deadlock
-        // fences waiting on the held write).
+        // BPQ forward progress: a controller's `bpq_release_tick` runs on
+        // the first executed cycle after any change to engine state (its
+        // `needs_tick` holds until a tick makes no progress), so an entry
+        // whose release condition held at the previous audit and still
+        // holds now was skipped — a stuck entry (it would deadlock fences
+        // waiting on the held write).
         let mut releasable = std::collections::HashSet::new();
         for (mcid, bpq) in self.bpqs.iter().enumerate() {
             for e in bpq.iter() {

@@ -105,16 +105,28 @@ impl Sliceable for SrcBase {
 ///
 /// Inserting overwrites any overlapped parts of existing segments
 /// (trimming or splitting them); adjacent segments whose values continue
-/// each other are coalesced.
+/// each other are coalesced. The covered bytes and the row count (a
+/// segment of `len` bytes takes `ceil(len / row_bytes)` rows) are kept as
+/// running totals, so both read in O(1).
 #[derive(Clone)]
 pub struct RangeMap<V> {
     map: BTreeMap<u64, (u64, V)>, // start → (end, value)
+    row_bytes: u64,
+    covered: u64,
+    rows: usize,
 }
 
 impl<V: Sliceable> RangeMap<V> {
-    /// Create an empty map.
+    /// Create an empty map whose segments count one row each.
     pub fn new() -> RangeMap<V> {
-        RangeMap { map: BTreeMap::new() }
+        RangeMap::with_row_bytes(u64::MAX)
+    }
+
+    /// Create an empty map whose segments count one row per `row_bytes`
+    /// bytes (rounded up).
+    pub(crate) fn with_row_bytes(row_bytes: u64) -> RangeMap<V> {
+        assert!(row_bytes > 0, "rows must hold at least one byte");
+        RangeMap { map: BTreeMap::new(), row_bytes, covered: 0, rows: 0 }
     }
 
     /// Number of segments.
@@ -129,7 +141,32 @@ impl<V: Sliceable> RangeMap<V> {
 
     /// Total bytes covered.
     pub fn covered_bytes(&self) -> u64 {
-        self.map.iter().map(|(s, (e, _))| e - s).sum()
+        self.covered
+    }
+
+    /// Rows the segments occupy: `ceil(len / row_bytes)` per segment.
+    pub(crate) fn rows(&self) -> usize {
+        self.rows
+    }
+
+    fn seg_rows(&self, len: u64) -> usize {
+        len.div_ceil(self.row_bytes) as usize
+    }
+
+    /// Add segment `[start, end) → v`; the only way a segment enters `map`.
+    fn put(&mut self, start: u64, end: u64, v: V) {
+        self.covered += end - start;
+        self.rows += self.seg_rows(end - start);
+        let prev = self.map.insert(start, (end, v));
+        debug_assert!(prev.is_none(), "segment at {start:#x} already present");
+    }
+
+    /// Remove the segment starting at `start`; the only way one leaves.
+    fn take(&mut self, start: u64) -> (u64, V) {
+        let (end, v) = self.map.remove(&start).expect("segment present");
+        self.covered -= end - start;
+        self.rows -= self.seg_rows(end - start);
+        (end, v)
     }
 
     /// The segment containing `p`, if any, as (range, value at range start).
@@ -188,12 +225,12 @@ impl<V: Sliceable> RangeMap<V> {
         }
         affected.extend(self.map.range(r.start..r.end).map(|(s, _)| *s));
         for s in affected {
-            let (e, v) = self.map.remove(&s).expect("affected segment present");
+            let (e, v) = self.take(s);
             if s < r.start {
-                self.map.insert(s, (r.start, v.clone()));
+                self.put(s, r.start, v.clone());
             }
             if e > r.end {
-                self.map.insert(r.end, (e, v.slice(r.end - s)));
+                self.put(r.end, e, v.slice(r.end - s));
             }
         }
     }
@@ -209,23 +246,20 @@ impl<V: Sliceable> RangeMap<V> {
         // Coalesce with predecessor.
         if let Some((ps, (pe, pv))) = self.map.range(..start).next_back() {
             if *pe == start && pv.continues(pe - ps, &val) {
-                let (ps, pe) = (*ps, *pe);
-                let (_, pv) = self.map.remove(&ps).expect("pred present");
-                debug_assert_eq!(pe, start);
+                let ps = *ps;
+                let (_, pv) = self.take(ps);
                 val = pv;
                 start = ps;
             }
         }
         // Coalesce with successor.
-        if let Some((ns, (ne, nv))) = self.map.range(end..).next() {
+        if let Some((ns, (_, nv))) = self.map.range(end..).next() {
             if *ns == end && val.continues(end - start, nv) {
-                let ne = *ne;
                 let ns = *ns;
-                self.map.remove(&ns);
-                end = ne;
+                end = self.take(ns).0;
             }
         }
-        self.map.insert(start, (end, val));
+        self.put(start, end, val);
     }
 
     /// Iterate over all segments in address order.
@@ -376,7 +410,8 @@ mod tests {
         fn matches_naive_model(ops in prop::collection::vec(
             (arb_range(256), 0u64..10_000, prop::bool::ANY), 1..40)
         ) {
-            let mut m = rm();
+            // 16-byte rows, so a segment of up to 256 bytes spans 1-16 rows.
+            let mut m: RangeMap<SrcBase> = RangeMap::with_row_bytes(16);
             let mut model = Model::new(256);
             for (r, src, is_insert) in ops {
                 if is_insert {
@@ -399,6 +434,11 @@ mod tests {
                     let continuous = w[0].1.0 + w[0].0.len() == w[1].1.0;
                     prop_assert!(!(touching && continuous), "unmerged neighbours");
                 }
+                // The running totals equal a full recomputation.
+                let covered = model.bytes.iter().filter(|b| b.is_some()).count() as u64;
+                prop_assert_eq!(m.covered_bytes(), covered);
+                let rows: usize = segs.iter().map(|(r, _)| r.len().div_ceil(16) as usize).sum();
+                prop_assert_eq!(m.rows(), rows);
             }
         }
     }

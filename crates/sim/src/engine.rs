@@ -125,11 +125,15 @@ pub trait CopyEngine: std::fmt::Debug {
         let _ = (now, mcid, io);
     }
 
-    /// Whether [`CopyEngine::tick`] could do any work for controller
+    /// Whether [`CopyEngine::tick`] could change any state for controller
     /// `mcid` right now. The event-driven scheduler only elides a
-    /// controller's tick when this is false, so the default errs towards
-    /// `true`; engines whose `tick` is a no-op (or conditional on state
-    /// they can inspect cheaply) should override it.
+    /// controller's tick when this is false, so it must be true whenever
+    /// `tick` could change state. It may turn false after a `tick` for
+    /// `mcid` that changed nothing, and stay false until an entry point
+    /// that mutates the engine runs (`on_arrive`, `on_dram_read`, or a
+    /// `tick` that changed something). The default errs towards `true`;
+    /// engines whose `tick` is a no-op (or conditional on state they can
+    /// inspect cheaply) should override it.
     fn needs_tick(&self, mcid: usize) -> bool {
         let _ = mcid;
         true
